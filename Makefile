@@ -3,6 +3,10 @@ GO ?= go
 # Output file for bench-json; override to capture a non-baseline report,
 # e.g. `make bench-json BENCH_OUT=BENCH_pr2.json`.
 BENCH_OUT ?= BENCH_baseline.json
+# Baseline that bench-compare and bench-check diff against. Point it at
+# the newest BENCH_*.json that bench-gate accepted; rows absent from it
+# print as "missing".
+BENCH_BASE ?= BENCH_baseline.json
 # Benchtime for the quick bench-compare pass inside `make check`.
 BENCHTIME ?= 100x
 # Number of independent benchmark runs bench-gate feeds the stability
@@ -34,12 +38,13 @@ test-short:
 race:
 	$(GO) test -race ./...
 
-# race-equiv runs just the kernel/pooling/checkpoint determinism
-# contracts under the race detector: the parallel kernel's sharded
-# attempt phase, the pooled Runner's buffer reuse, and snapshot/resume's
-# state capture are the places a data race could hide.
+# race-equiv runs just the pooling/checkpoint/packing determinism
+# contracts under the race detector: the pooled Runner's buffer reuse,
+# the done-hint counter, snapshot/resume's state capture and the packed
+# layout's promotion path must each stay bit-identical to a fresh
+# unpacked run.
 race-equiv:
-	$(GO) test -race -run 'TestKernelEquivalence|TestPooledRun|TestDoneHint|TestResumeEquivalence' .
+	$(GO) test -race -run 'TestPooledRun|TestDoneHint|TestResumeEquivalence|TestPackedEquivalence' .
 
 # obs-check runs the observability layer's concurrency-sensitive tests
 # under the race detector — the metrics registry, the shared event sink,
@@ -82,30 +87,34 @@ bench:
 	$(GO) test -bench . -benchmem ./...
 
 # bench-json regenerates $(BENCH_OUT) (default BENCH_baseline.json): the
-# kernel and tick throughput benchmarks in machine-readable form (see
-# cmd/benchjson).
+# tick-cost and Write-All run benchmarks (per-tick steady state, the
+# N=1e7-1e8 packed/batched rows, whole runs) in machine-readable form
+# (see cmd/benchjson).
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernel|BenchmarkMachineTick|BenchmarkSteadyState' -benchmem . ./internal/pram | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
 
 # bench-compare reruns the tracked benchmarks and diffs them against the
-# committed baseline, failing on >25% ns/op or allocs/op regressions.
+# gated baseline $(BENCH_BASE), failing on >25% ns/op or allocs/op
+# regressions.
 bench-compare:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernel|BenchmarkMachineTick|BenchmarkSteadyState' -benchtime $(BENCHTIME) -benchmem . ./internal/pram | $(GO) run ./cmd/benchjson > bench_new.json
-	$(GO) run ./cmd/benchjson -compare BENCH_baseline.json bench_new.json
+	$(GO) run ./cmd/benchjson -compare $(BENCH_BASE) bench_new.json
 
 # bench-gate is how a BENCH_*.json snapshot gets minted: a fresh build,
-# then $(GATE_RUNS) independent full runs of the tracked benchmarks, each
+# then $(GATE_RUNS) independent full runs of the tracked tick-cost and
+# run benchmarks (the same set as bench-json), each
 # converted to JSON, fed to benchjson -gate, which rejects >10% cross-run
 # spread on any tracked metric. Only a stable machine produces a
 # baseline; the accepted report (the per-metric median) lands in
-# $(BENCH_OUT).
+# $(BENCH_OUT), and a refused gate leaves no $(BENCH_OUT) behind.
 bench-gate: build
 	@rm -f bench_gate_*.json
 	@for i in $$(seq 1 $(GATE_RUNS)); do \
 		echo "bench-gate: run $$i of $(GATE_RUNS)"; \
 		$(GO) test -run '^$$' -bench 'BenchmarkKernel|BenchmarkMachineTick|BenchmarkSteadyState' -benchmem . ./internal/pram | $(GO) run ./cmd/benchjson > bench_gate_$$i.json || exit 1; \
 	done
-	$(GO) run ./cmd/benchjson -gate bench_gate_*.json > $(BENCH_OUT)
+	$(GO) run ./cmd/benchjson -gate bench_gate_*.json > bench_gate.tmp || { rm -f bench_gate.tmp; exit 1; }
+	@mv bench_gate.tmp $(BENCH_OUT)
 	@rm -f bench_gate_*.json
 	@echo "bench-gate: accepted -> $(BENCH_OUT)"
 
@@ -120,13 +129,16 @@ fuzz:
 	$(GO) test -fuzz FuzzWriteAllUnderRandomPatterns -fuzztime 30s ./internal/writeall/
 	$(GO) test -fuzz FuzzReadSnapshot -fuzztime 30s ./internal/pram/
 	$(GO) test -fuzz FuzzReadPattern -fuzztime 30s ./internal/adversary/
+	$(GO) test -fuzz FuzzParseStrategy -fuzztime 30s ./internal/advlab/
 
 # fuzz-short gives the harness-input decoders (snapshot binary format,
-# failure-pattern JSON) a brief randomized shake beyond their committed
-# corpora; cheap enough to live inside `make check`.
+# failure-pattern JSON, adversary-strategy JSON) a brief randomized
+# shake beyond their committed corpora; cheap enough to live inside
+# `make check`.
 fuzz-short:
 	$(GO) test -fuzz FuzzReadSnapshot -fuzztime 5s ./internal/pram/
 	$(GO) test -fuzz FuzzReadPattern -fuzztime 5s ./internal/adversary/
+	$(GO) test -fuzz FuzzParseStrategy -fuzztime 5s ./internal/advlab/
 
 # chaos runs the randomized crash/resume grid: checkpointed runs under
 # injected snapshot-I/O faults (torn writes, bit corruption, failing
@@ -146,5 +158,5 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt bench_new.json bench_gate_*.json
+	rm -f cover.out test_output.txt bench_output.txt bench_new.json bench_gate_*.json bench_gate.tmp
 	rm -rf pramd.state

@@ -129,9 +129,14 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if resp, raw := postJSON(t, srv.URL+"/v1/jobs", `{"kind":"run","run":{"algorithm":"nope","adversary":"none","n":8}}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad spec status = %d, body %s", resp.StatusCode, raw)
 	}
-	// Unknown field (typo): 400.
-	if resp, _ := postJSON(t, srv.URL+"/v1/jobs", `{"kind":"run","run":{"algoritm":"X"}}`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field status = %d", resp.StatusCode)
+	// Unknown field (a typo, or the removed kernel worker count): 400.
+	for _, body := range []string{
+		`{"kind":"run","run":{"algoritm":"X"}}`,
+		`{"kind":"run","run":{"algorithm":"X","adversary":"none","n":8,"workers":2}}`,
+	} {
+		if resp, _ := postJSON(t, srv.URL+"/v1/jobs", body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("unknown field status = %d for %s", resp.StatusCode, body)
+		}
 	}
 	// Path-carrying spec: 400 (the store owns the files).
 	if resp, _ := postJSON(t, srv.URL+"/v1/jobs", `{"kind":"run","run":{"algorithm":"X","adversary":"none","n":8,"csv":"/tmp/x"}}`); resp.StatusCode != http.StatusBadRequest {

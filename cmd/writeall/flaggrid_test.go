@@ -19,7 +19,7 @@ func TestFlagGridMapsToValidSpecs(t *testing.T) {
 	extras := [][]string{
 		nil,
 		{"-p", "16", "-seed", "9", "-ticks", "500", "-events", "100"},
-		{"-parallel", "4", "-csv", "out.csv"},
+		{"-csv", "out.csv"},
 		{"-trace", "t.jsonl", "-trace-ticks", "-trace-sample", "8"},
 		{"-snapshot", "run.snap", "-snapshot-every", "64", "-record", "pat.json"},
 		{"-replay", "pat.json"},

@@ -69,7 +69,6 @@ func parseSpec(args []string) (engine.RunSpec, cliOptions, error) {
 	fs.IntVar(&spec.TraceSample, "trace-sample", 1, "with -trace, keep only every Nth cycle event (tick and run events are always kept)")
 	fs.StringVar(&opts.debugAddr, "debug-addr", "", "serve /metrics, expvar and /debug/pprof on this address for the duration of the run (a bare :port binds localhost; empty disables)")
 	fs.DurationVar(&opts.progress, "progress", 0, "print a live progress line (tick, done %, tick rate) to stderr at this interval, e.g. 2s (0 disables)")
-	fs.IntVar(&spec.Workers, "parallel", 0, "run the parallel tick kernel with this many workers (0 = serial, -1 = GOMAXPROCS)")
 	fs.BoolVar(&spec.Packed, "packed", false, "use the bit-packed shared-memory layout for the Write-All prefix (observationally identical; ~64x smaller at N=1e7-1e8)")
 	fs.IntVar(&spec.BatchTicks, "batch", 0, "advance up to this many ticks per bookkeeping round while the adversary is quiescent (0 or 1 = per-tick stepping)")
 	fs.StringVar(&spec.RecordPath, "record", "", "record the inflicted failure pattern as JSON to this file")

@@ -15,7 +15,9 @@ import (
 // bit-identically), and pram.Quiescence (closed windows, exhausted
 // budgets, and the off phases of periodic triggers are claimed as
 // quiet, so Machine.TickBatch engages under compiled strategies
-// exactly as it does under Scheduled patterns).
+// exactly as it does under Scheduled patterns). Every decision obeys
+// the liveness rule of Section 2.1 (see keepLive), so a compiled
+// strategy never records a violation.
 type Compiled struct {
 	spec   Strategy
 	name   string
@@ -27,7 +29,7 @@ type Compiled struct {
 	r   *rand.Rand
 
 	// deadSince[pid] is the tick at which this strategy killed pid, or
-	// -1. It is written when a kill is issued (prediction: a veto may
+	// -1. It is written when a kill is issued (prediction: keepLive may
 	// spare the processor, which the next sighting of an alive pid
 	// repairs) and cleared on restart, so restart aging never needs a
 	// per-tick scan — which is what keeps closed-trigger stretches
@@ -192,7 +194,50 @@ func (c *Compiled) Decide(v *pram.View) pram.Decision {
 			}
 		}
 	}
+	keepLive(v, &dec)
 	return dec
+}
+
+// keepLive repairs a decision that breaks the liveness rule of Section
+// 2.1 exactly as the machine's VetoSpare mode would: when every
+// executing processor is targeted, the lowest-PID one is spared, and
+// when none is alive and no dead one restarts, the lowest-PID dead one
+// restarts. Budgets and the kill ledger are left as the rules set them,
+// so a run is tick for tick the one the machine would have repaired,
+// minus the vetoes and violations it would have recorded.
+func keepLive(v *pram.View, dec *pram.Decision) {
+	if v.Alive == 0 {
+		for _, pid := range dec.Restarts {
+			if v.States.At(pid) == pram.Dead {
+				return
+			}
+		}
+		for pid := 0; pid < v.States.Len(); pid++ {
+			if v.States.At(pid) == pram.Dead {
+				dec.Restarts = append(dec.Restarts, pid)
+				return
+			}
+		}
+		return
+	}
+	if len(dec.Failures) < v.Alive {
+		return // some executing processor is untargeted
+	}
+	spare := -1
+	for pid, in := range v.Intents {
+		if in == nil {
+			continue
+		}
+		if _, hit := dec.Failures[pid]; !hit {
+			return
+		}
+		if spare < 0 {
+			spare = pid
+		}
+	}
+	if spare >= 0 {
+		delete(dec.Failures, spare)
+	}
 }
 
 // fires evaluates one rule's trigger at the view's tick, updating the

@@ -26,9 +26,9 @@ func E18PackedBatch(ctx context.Context, s Scale) []Table {
 		sizes = []int{1e7, 1e8}
 	}
 	t := &Table{
-		ID:    "E18",
-		Title: "word-packed memory + batched tick kernel at Write-All scale",
-		Claim: "Section 2.1 cell model: 64 binary Write-All cells pack into one word; amortizing per-tick bookkeeping over quiescent windows is observationally invisible and >= 10x faster at N >= 1e7",
+		ID:     "E18",
+		Title:  "word-packed memory + batched tick kernel at Write-All scale",
+		Claim:  "Section 2.1 cell model: 64 binary Write-All cells pack into one word; amortizing per-tick bookkeeping over quiescent windows is observationally invisible and >= 10x faster at N >= 1e7",
 		Header: []string{"N", "P", "ticks", "S", "step ms", "packed-step ms", "packed-batch ms", "step/batch"},
 	}
 
@@ -86,6 +86,7 @@ func E18PackedBatch(ctx context.Context, s Scale) []Table {
 		"All modes of a row finish with identical metrics — packing and batching are",
 		"layout/scheduling choices, never observable ones. The step/batch ratio is",
 		"per-tick stepping over the batched run (packed-step when unpacked is skipped);",
-		"wall-clock ratios are indicative, BENCH_pr8.json pins the gated numbers.")
+		"wall-clock ratios are indicative. BenchmarkSteadyStateTickBigN times the",
+		"per-tick cost alone, on a synthetic processor, not this end-to-end run.")
 	return []Table{*t}
 }

@@ -128,10 +128,6 @@ func ExecuteRun(ctx context.Context, spec RunSpec, opt RunOptions) (RunResult, e
 	}
 
 	cfg := failstop.Config{N: spec.N, P: spec.P, MaxTicks: spec.MaxTicks, Packed: spec.Packed}
-	if spec.Workers != 0 {
-		cfg.Kernel = pram.ParallelKernel
-		cfg.Workers = spec.Workers // non-positive means GOMAXPROCS
-	}
 
 	var sinks pram.MultiSink
 	if spec.CSVPath != "" {

@@ -50,10 +50,6 @@ type RunSpec struct {
 	MaxEvents int64 `json:"max_events,omitempty"`
 	// MaxTicks bounds the run (0 = the machine default).
 	MaxTicks int `json:"max_ticks,omitempty"`
-	// Workers selects the kernel: 0 runs the serial kernel, anything
-	// else the parallel kernel with that many workers (negative =
-	// GOMAXPROCS), matching cmd/writeall's -parallel flag.
-	Workers int `json:"workers,omitempty"`
 	// Packed opts into the bit-packed shared-memory layout for the
 	// algorithm's Write-All prefix (Config.Packed); observationally
 	// identical, ~64x smaller for binary-cell algorithms at N=10⁷-10⁸.

@@ -4,22 +4,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 
 	"repro/internal/faultinject"
 )
 
 // ErrWorkerPanic reports an update cycle that panicked during the
-// attempt phase. The machine recovers the panic in the worker (under
-// either kernel), publishes no intent for the panicked processor, and
-// fails the run with a CyclePanicError instead of crashing the process.
+// attempt phase. The machine recovers the panic, publishes no intent
+// for the panicked processor, and fails the run with a CyclePanicError
+// instead of crashing the process.
 var ErrWorkerPanic = errors.New("pram: update cycle panicked")
 
 // CyclePanicError is the run error produced when a processor's Cycle
 // panics — whether naturally (an algorithm bug) or injected through the
 // kernel.cycle failpoint. It wraps ErrWorkerPanic and carries enough to
 // locate the crash: the processor, the tick, the recovered value, and
-// the worker stack.
+// its stack.
 type CyclePanicError struct {
 	// PID and Tick locate the crashed update cycle.
 	PID, Tick int
@@ -37,61 +36,8 @@ func (e *CyclePanicError) Error() string {
 // Unwrap makes errors.Is(err, ErrWorkerPanic) hold.
 func (e *CyclePanicError) Unwrap() error { return ErrWorkerPanic }
 
-// attemptRange is the panic-isolating path every kernel uses to run a
-// contiguous span of update cycles: it recovers injected and natural
-// panics so a crashing cycle fails the run, not the process, and it
-// hosts the kernel.cycle failpoint. Isolation is per span, not per
-// cycle, so the no-panic hot path pays one defer per kernel shard
-// instead of one per processor; a panic costs one extra attemptSpan
-// call and the remaining pids still attempt.
-func (m *Machine) attemptRange(lo, hi int) {
-	for next := lo; next < hi; {
-		next = m.attemptSpan(next, hi)
-	}
-}
-
-// attemptSpan attempts pids [lo, hi) and returns hi, or — when a cycle
-// panics — records the crash and returns the pid after the panicked
-// one. The injection decision is keyed on (tick, pid), not on a hit
-// counter, so a given fault schedule fires at the same logical sites
-// under the serial and parallel kernels.
-func (m *Machine) attemptSpan(lo, hi int) (next int) {
-	pid := lo
-	defer func() {
-		v := recover()
-		if v == nil {
-			return
-		}
-		// A panicked attempt publishes nothing (attemptOne publishes
-		// last, so m.intents[pid] is still nil from the loop top).
-		e := &CyclePanicError{PID: pid, Tick: m.tick, Value: v, Stack: debug.Stack()}
-		m.panicMu.Lock()
-		// Concurrent workers may panic in the same tick; the lowest PID
-		// wins so the reported error is deterministic across kernels
-		// and worker interleavings.
-		if m.cyclePanic == nil || pid < m.cyclePanic.PID {
-			m.cyclePanic = e
-		}
-		m.panicMu.Unlock()
-		next = pid + 1
-	}()
-	inject := m.fiCycle.Mode() != faultinject.Off
-	for ; pid < hi; pid++ {
-		m.intents[pid] = nil
-		if m.states[pid] != Alive || !m.runnable(pid) {
-			continue
-		}
-		if inject && m.fiCycle.FireKeyed(uint64(m.tick)<<32|uint64(pid)) {
-			panic(faultinject.Injected{Point: "kernel.cycle"})
-		}
-		m.attemptOne(pid)
-	}
-	return hi
-}
-
 // takeCyclePanic returns and clears the tick's pending cycle panic, if
-// any. Called from Step after the kernel's workers have drained, so no
-// lock is needed.
+// any. Called from Step after the attempt phase.
 func (m *Machine) takeCyclePanic() *CyclePanicError {
 	e := m.cyclePanic
 	m.cyclePanic = nil

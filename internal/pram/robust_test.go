@@ -49,89 +49,68 @@ func killAllFrom(from int) *funcAdversary {
 }
 
 // TestInjectedCyclePanicFailsRun arms the kernel.cycle failpoint and
-// checks both kernels convert the injected worker panic into a run
-// error naming the same (lowest) PID and tick — no process crash, and
-// kernel-independent attribution because the panic is keyed by
-// (tick, pid), not goroutine arrival order.
+// checks the injected panic becomes a run error naming the lowest PID
+// and the tick — no process crash. Every PID of the tick panics, so the
+// walk must keep the first one it meets.
 func TestInjectedCyclePanicFailsRun(t *testing.T) {
 	const failTick = 3
-	runOne := func(kernel Kernel, workers int) *CyclePanicError {
-		t.Helper()
-		reg := faultinject.New(1)
-		reg.Set("kernel.cycle", faultinject.Spec{Mode: faultinject.Panic, After: failTick << 32})
-		m := mustMachine(t, Config{
-			N: 16, P: 8, MaxTicks: 100,
-			Kernel: kernel, Workers: workers, Faults: reg,
-		}, spinAlg(), &funcAdversary{name: "none"})
-		defer m.Close()
-		_, err := m.Run()
-		if !errors.Is(err, ErrWorkerPanic) {
-			t.Fatalf("Run err = %v, want ErrWorkerPanic", err)
-		}
-		var cpe *CyclePanicError
-		if !errors.As(err, &cpe) {
-			t.Fatalf("Run err %v does not unwrap to *CyclePanicError", err)
-		}
-		return cpe
+	reg := faultinject.New(1)
+	reg.Set("kernel.cycle", faultinject.Spec{Mode: faultinject.Panic, After: failTick << 32})
+	m := mustMachine(t, Config{N: 16, P: 8, MaxTicks: 100, Faults: reg},
+		spinAlg(), &funcAdversary{name: "none"})
+	defer m.Close()
+	_, err := m.Run()
+	if !errors.Is(err, ErrWorkerPanic) {
+		t.Fatalf("Run err = %v, want ErrWorkerPanic", err)
 	}
-
-	serial := runOne(SerialKernel, 0)
-	parallel := runOne(ParallelKernel, 4)
-	for name, cpe := range map[string]*CyclePanicError{"serial": serial, "parallel": parallel} {
-		if cpe.Tick != failTick {
-			t.Errorf("%s: panic tick = %d, want %d", name, cpe.Tick, failTick)
-		}
-		if cpe.PID != 0 {
-			t.Errorf("%s: panic pid = %d, want 0 (lowest PID wins)", name, cpe.PID)
-		}
-		if inj, ok := cpe.Value.(faultinject.Injected); !ok || inj.Point != "kernel.cycle" {
-			t.Errorf("%s: panic value = %#v, want faultinject.Injected{kernel.cycle}", name, cpe.Value)
-		}
+	var cpe *CyclePanicError
+	if !errors.As(err, &cpe) {
+		t.Fatalf("Run err %v does not unwrap to *CyclePanicError", err)
+	}
+	if cpe.Tick != failTick {
+		t.Errorf("panic tick = %d, want %d", cpe.Tick, failTick)
+	}
+	if cpe.PID != 0 {
+		t.Errorf("panic pid = %d, want 0 (lowest PID wins)", cpe.PID)
+	}
+	if inj, ok := cpe.Value.(faultinject.Injected); !ok || inj.Point != "kernel.cycle" {
+		t.Errorf("panic value = %#v, want faultinject.Injected{kernel.cycle}", cpe.Value)
 	}
 }
 
 // TestNaturalCyclePanicRecovered checks a panic raised by algorithm code
 // itself (not injected) is also recovered into a run error carrying the
-// worker's PID, tick, and panic value.
+// processor's PID, tick, and panic value.
+// The serial subtest name is kept from when a second kernel had a row.
 func TestNaturalCyclePanicRecovered(t *testing.T) {
-	alg := &testAlg{
-		name: "bomb",
-		cycle: func(pid int, ctx *Ctx) Status {
-			if pid == 2 {
-				panic("boom")
-			}
-			ctx.Read(0)
-			return Continue
-		},
-	}
-	for _, tc := range []struct {
-		name    string
-		kernel  Kernel
-		workers int
-	}{
-		{"serial", SerialKernel, 0},
-		{"parallel", ParallelKernel, 4},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m := mustMachine(t, Config{N: 8, P: 4, MaxTicks: 50, Kernel: tc.kernel, Workers: tc.workers},
-				alg, &funcAdversary{name: "none"})
-			defer m.Close()
-			_, err := m.Run()
-			var cpe *CyclePanicError
-			if !errors.As(err, &cpe) {
-				t.Fatalf("Run err = %v, want *CyclePanicError", err)
-			}
-			if cpe.PID != 2 || cpe.Tick != 0 {
-				t.Errorf("panic at pid=%d tick=%d, want pid=2 tick=0", cpe.PID, cpe.Tick)
-			}
-			if cpe.Value != "boom" {
-				t.Errorf("panic value = %v, want \"boom\"", cpe.Value)
-			}
-			if !strings.Contains(err.Error(), "pid=2") {
-				t.Errorf("error %q does not name the worker", err)
-			}
-		})
-	}
+	t.Run("serial", func(t *testing.T) {
+		alg := &testAlg{
+			name: "bomb",
+			cycle: func(pid int, ctx *Ctx) Status {
+				if pid == 2 {
+					panic("boom")
+				}
+				ctx.Read(0)
+				return Continue
+			},
+		}
+		m := mustMachine(t, Config{N: 8, P: 4, MaxTicks: 50}, alg, &funcAdversary{name: "none"})
+		defer m.Close()
+		_, err := m.Run()
+		var cpe *CyclePanicError
+		if !errors.As(err, &cpe) {
+			t.Fatalf("Run err = %v, want *CyclePanicError", err)
+		}
+		if cpe.PID != 2 || cpe.Tick != 0 {
+			t.Errorf("panic at pid=%d tick=%d, want pid=2 tick=0", cpe.PID, cpe.Tick)
+		}
+		if cpe.Value != "boom" {
+			t.Errorf("panic value = %v, want \"boom\"", cpe.Value)
+		}
+		if !strings.Contains(err.Error(), "pid=2") {
+			t.Errorf("error %q does not name the processor", err)
+		}
+	})
 }
 
 // TestKillAllViolationRecordedAtOffendingTick checks the runtime

@@ -9,13 +9,12 @@ import (
 
 // Runner executes many runs on one pooled Machine, so sweep drivers (the
 // experiment tables, bench.Points, benchmarks) stop reconstructing the
-// world per run: shared memory, contexts, scratch buffers, the kernel
-// worker pool, and — for Resettable processors of a reused Algorithm
-// instance — per-processor private state all carry over. Runs are
-// bit-identical to fresh Machines (see Machine.Reset). The zero value is
-// ready to use; a Runner must not be used concurrently, but independent
-// Runners are safe in parallel (bench.Points keeps one per goroutine via
-// a sync.Pool).
+// world per run: shared memory, contexts, scratch buffers, and — for
+// Resettable processors of a reused Algorithm instance — per-processor
+// private state all carry over. Runs are bit-identical to fresh Machines
+// (see Machine.Reset). The zero value is ready to use; a Runner must not
+// be used concurrently, but independent Runners are safe in parallel
+// (bench.Points keeps one per goroutine via a sync.Pool).
 type Runner struct {
 	m *Machine
 
@@ -245,9 +244,8 @@ func (r *Runner) Violations() []Violation {
 	return r.m.Violations()
 }
 
-// Close releases the pooled machine's resources (its kernel worker pool,
-// if any). The Runner is reusable afterwards; the next run builds a fresh
-// machine.
+// Close drops the pooled machine. The Runner is reusable afterwards; the
+// next run builds a fresh machine.
 func (r *Runner) Close() {
 	if r.m != nil {
 		r.m.Close()

@@ -129,8 +129,7 @@ func TestJSONLStickyErrorShortCircuits(t *testing.T) {
 // concurrently, with Err polled mid-run, raced on the shared encoder
 // and error field. The sink serializes internally now; the per-machine
 // Sink contract (serial commit phase) still holds for each machine
-// individually — here each machine runs the sharded parallel kernel to
-// mirror the sweep setup.
+// individually.
 func TestJSONLSharedAcrossConcurrentMachines(t *testing.T) {
 	j := NewJSONL(io.Discard)
 	alg := func() *testAlg {
@@ -152,7 +151,7 @@ func TestJSONLSharedAcrossConcurrentMachines(t *testing.T) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
-		m := mustMachine(t, Config{N: 64, P: 8, Sink: j, Kernel: ParallelKernel, Workers: 2}, alg(), &funcAdversary{})
+		m := mustMachine(t, Config{N: 64, P: 8, Sink: j}, alg(), &funcAdversary{})
 		defer m.Close()
 		wg.Add(1)
 		go func() {

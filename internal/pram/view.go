@@ -4,9 +4,7 @@ package pram
 // the start of a tick. Update cycles and adversaries receive a MemoryView
 // rather than the *Memory itself: within a tick all writes are buffered
 // and committed synchronously afterwards, so every reader of the view
-// observes the same pre-tick snapshot. Because a MemoryView cannot write,
-// the parallel tick kernel may hand it to many attempt-phase workers at
-// once without synchronization.
+// observes the same pre-tick snapshot.
 type MemoryView struct {
 	mem *Memory
 }

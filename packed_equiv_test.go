@@ -62,13 +62,11 @@ func TestPackedEquivalence(t *testing.T) {
 	for _, alg := range packedGridAlgs(base, snapshot) {
 		for _, adv := range advs {
 			t.Run(alg.name+"/"+adv.name, func(t *testing.T) {
-				unpacked := runUnderKernel(t, alg.mk, adv.mk, alg.cfg, SerialKernel, 0)
+				unpacked := runMachine(t, alg.mk, adv.mk, alg.cfg)
 				pcfg := alg.cfg
 				pcfg.Packed = true
-				packed := runUnderKernel(t, alg.mk, adv.mk, pcfg, SerialKernel, 0)
+				packed := runMachine(t, alg.mk, adv.mk, pcfg)
 				assertRunsEqual(t, "packed", unpacked, packed)
-				packedPar := runUnderKernel(t, alg.mk, adv.mk, pcfg, ParallelKernel, 3)
-				assertRunsEqual(t, "packed/workers=3", unpacked, packedPar)
 			})
 		}
 	}
@@ -85,10 +83,10 @@ func TestPackedEquivalence(t *testing.T) {
 	}
 	for _, adv := range treeAdvs {
 		t.Run("X/"+adv.name, func(t *testing.T) {
-			unpacked := runUnderKernel(t, NewX, adv.mk, base, SerialKernel, 0)
+			unpacked := runMachine(t, NewX, adv.mk, base)
 			pcfg := base
 			pcfg.Packed = true
-			packed := runUnderKernel(t, NewX, adv.mk, pcfg, SerialKernel, 0)
+			packed := runMachine(t, NewX, adv.mk, pcfg)
 			assertRunsEqual(t, "packed", unpacked, packed)
 		})
 	}
@@ -97,14 +95,14 @@ func TestPackedEquivalence(t *testing.T) {
 // runBatched drives a machine through TickBatch in chunks of the given
 // size and returns its outcome (no trace: sinks disable batching unless
 // they opt in, and the per-tick trace contract is covered elsewhere).
-func runBatched(t *testing.T, mkAlg func() Algorithm, mkAdv func() Adversary, cfg Config, chunk int) kernelRun {
+func runBatched(t *testing.T, mkAlg func() Algorithm, mkAdv func() Adversary, cfg Config, chunk int) runOutcome {
 	t.Helper()
 	m, err := pram.New(cfg, mkAlg(), mkAdv())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer m.Close()
-	var out kernelRun
+	var out runOutcome
 	for {
 		_, done, err := m.TickBatch(chunk)
 		if err != nil {
@@ -121,7 +119,7 @@ func runBatched(t *testing.T, mkAlg func() Algorithm, mkAdv func() Adversary, cf
 }
 
 // assertOutcomesEqual compares the trace-free observables of two runs.
-func assertOutcomesEqual(t *testing.T, label string, want, got kernelRun) {
+func assertOutcomesEqual(t *testing.T, label string, want, got runOutcome) {
 	t.Helper()
 	if want.err != got.err {
 		t.Fatalf("%s: err = %q, want %q", label, got.err, want.err)
@@ -187,7 +185,7 @@ func TestTickBatchEquivalence(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						cfg := base
 						cfg.Packed = packed
-						perTick := runUnderKernel(t, alg.mk, adv.mk, cfg, SerialKernel, 0)
+						perTick := runMachine(t, alg.mk, adv.mk, cfg)
 						batched := runBatched(t, alg.mk, adv.mk, cfg, chunk)
 						assertOutcomesEqual(t, "batched", perTick, batched)
 					})
@@ -202,7 +200,7 @@ func TestTickBatchEquivalence(t *testing.T) {
 // TickBatch, one tick at a time.
 func TestTickBatchFallsBackForNonBatchAlgorithms(t *testing.T) {
 	cfg := Config{N: 64, P: 16, MaxTicks: 4000}
-	perTick := runUnderKernel(t, NewX, NoFailures, cfg, SerialKernel, 0)
+	perTick := runMachine(t, NewX, NoFailures, cfg)
 	batched := runBatched(t, NewX, NoFailures, cfg, 64)
 	assertOutcomesEqual(t, "fallback", perTick, batched)
 }
@@ -213,10 +211,10 @@ func TestTickBatchFallsBackForNonBatchAlgorithms(t *testing.T) {
 // the binary format. The resumed run must reproduce the unpacked
 // baseline's metrics, memory, error, and trace suffix regardless of the
 // representations on either side.
-func packedResume(t *testing.T, mkAlg func() Algorithm, mkAdv func() Adversary, base Config, srcPacked, dstPacked bool) (want, resumed kernelRun) {
+func packedResume(t *testing.T, mkAlg func() Algorithm, mkAdv func() Adversary, base Config, srcPacked, dstPacked bool) (want, resumed runOutcome) {
 	t.Helper()
 
-	baseline := runUnderKernel(t, mkAlg, mkAdv, base, SerialKernel, 0)
+	baseline := runMachine(t, mkAlg, mkAdv, base)
 	splitTick := baseline.metrics.Ticks / 2
 
 	srcCfg := base
@@ -266,7 +264,7 @@ func packedResume(t *testing.T, mkAlg func() Algorithm, mkAdv func() Adversary, 
 	}
 	resumed.mem = m.Memory().CopyInto(nil)
 
-	want = kernelRun{metrics: baseline.metrics, mem: baseline.mem, err: baseline.err}
+	want = runOutcome{metrics: baseline.metrics, mem: baseline.mem, err: baseline.err}
 	want.trace.runs = baseline.trace.runs
 	for _, ev := range baseline.trace.cycles {
 		if ev.Tick >= splitTick {

@@ -9,10 +9,10 @@ import (
 
 // runPooled executes one run on the shared Runner, reusing alg (the same
 // Algorithm value every round, so Resettable processor recycling
-// engages), and captures the same observables as runUnderKernel.
-func runPooled(t *testing.T, r *pram.Runner, alg Algorithm, adv Adversary, cfg Config) kernelRun {
+// engages), and captures the same observables as runMachine.
+func runPooled(t *testing.T, r *pram.Runner, alg Algorithm, adv Adversary, cfg Config) runOutcome {
 	t.Helper()
-	var out kernelRun
+	var out runOutcome
 	cfg.Sink = &out.trace
 	m, err := r.Machine(cfg, alg, adv)
 	if err != nil {
@@ -73,7 +73,7 @@ func TestPooledRunEquivalence(t *testing.T) {
 	for _, alg := range algs {
 		for _, adv := range advs {
 			t.Run(alg.name+"/"+adv.name, func(t *testing.T) {
-				fresh := runUnderKernel(t, alg.mk, adv.mk, alg.cfg, SerialKernel, 0)
+				fresh := runMachine(t, alg.mk, adv.mk, alg.cfg)
 				var runner pram.Runner
 				defer runner.Close()
 				algInst := alg.mk()
@@ -101,7 +101,7 @@ func TestPooledRunResize(t *testing.T) {
 	algInst := NewX()
 	for i, s := range shapes {
 		cfg := Config{N: s.n, P: s.p, MaxTicks: 8000}
-		fresh := runUnderKernel(t, NewX, mkAdv, cfg, SerialKernel, 0)
+		fresh := runMachine(t, NewX, mkAdv, cfg)
 		got := runPooled(t, &runner, algInst, mkAdv(), cfg)
 		assertRunsEqual(t, fmt.Sprintf("shape %d (N=%d P=%d)", i, s.n, s.p), fresh, got)
 	}
@@ -149,10 +149,10 @@ func TestDoneHintMatchesPolledOracle(t *testing.T) {
 	for _, alg := range algs {
 		for _, adv := range advs {
 			t.Run(alg.name+"/"+adv.name, func(t *testing.T) {
-				hinted := runUnderKernel(t, alg.mk, adv.mk, alg.cfg, SerialKernel, 0)
+				hinted := runMachine(t, alg.mk, adv.mk, alg.cfg)
 				polled := alg.cfg
 				polled.DisableDoneHint = true
-				oracle := runUnderKernel(t, alg.mk, adv.mk, polled, SerialKernel, 0)
+				oracle := runMachine(t, alg.mk, adv.mk, polled)
 				assertRunsEqual(t, "hint vs polled oracle", oracle, hinted)
 			})
 		}

@@ -15,11 +15,11 @@ import (
 // snapshotted through the binary serialization round-trip, and restored
 // into a third, freshly constructed machine that runs to completion. It
 // returns the baseline truncated to the resumed suffix and the resumed
-// run, both as kernelRun values for assertRunsEqual.
-func resumeBaselineAndSuffix(t *testing.T, mkAlg func() Algorithm, mkAdv func() Adversary, cfg Config) (want, resumed kernelRun) {
+// run, both as runOutcome values for assertRunsEqual.
+func resumeBaselineAndSuffix(t *testing.T, mkAlg func() Algorithm, mkAdv func() Adversary, cfg Config) (want, resumed runOutcome) {
 	t.Helper()
 
-	baseline := runUnderKernel(t, mkAlg, mkAdv, cfg, SerialKernel, 0)
+	baseline := runMachine(t, mkAlg, mkAdv, cfg)
 	splitTick := baseline.metrics.Ticks / 2
 
 	// Second machine: replay the first half of the run, snapshot.
@@ -73,7 +73,7 @@ func resumeBaselineAndSuffix(t *testing.T, mkAlg func() Algorithm, mkAdv func() 
 	// The resumed run must reproduce the baseline's outcome and the
 	// trace suffix from the split tick on (cycle and tick events both
 	// stamp the tick they belong to).
-	want = kernelRun{metrics: baseline.metrics, mem: baseline.mem, err: baseline.err}
+	want = runOutcome{metrics: baseline.metrics, mem: baseline.mem, err: baseline.err}
 	want.trace.runs = baseline.trace.runs
 	for _, ev := range baseline.trace.cycles {
 		if ev.Tick >= splitTick {
